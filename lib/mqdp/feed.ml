@@ -43,11 +43,14 @@ type counters = {
   shed : int;
 }
 
+module Ids = Set.Make (Int)
+
 type t = {
   cfg : config;
   engine : Online.t;
   buffer : Post.t Util.Heap.t;  (* staged posts, min by (value, id) *)
-  seen : (int, unit) Hashtbl.t;  (* ids ever admitted *)
+  mutable seen : Ids.t;  (* ids ever admitted; persistent, so a snapshot
+                            captures it by reference *)
   mutable watermark : float;  (* newest value released to the engine *)
   mutable high : float;  (* newest value ever admitted (reorder signal) *)
   mutable c_accepted : int;
@@ -94,7 +97,7 @@ let make cfg engine =
     cfg;
     engine;
     buffer = Util.Heap.create Post.compare_by_value;
-    seen = Hashtbl.create 256;
+    seen = Ids.empty;
     watermark = neg_infinity;
     high = neg_infinity;
     c_accepted = 0;
@@ -204,7 +207,7 @@ let push t post =
     end
   in
   (* 2. Duplicates: an id the frontend already admitted. *)
-  if Hashtbl.mem t.seen id then begin
+  if Ids.mem id t.seen then begin
     match t.cfg.duplicate with
     | Raise -> reject t ~id "duplicate id"
     | Drop | Clamp ->
@@ -231,7 +234,7 @@ let push t post =
         ({ post with Post.value = t.watermark }, t.watermark)
     end
   in
-  Hashtbl.replace t.seen id ();
+  t.seen <- Ids.add id t.seen;
   t.c_accepted <- t.c_accepted + 1;
   Util.Telemetry.incr m_accepted;
   if value < t.high then begin
@@ -255,78 +258,188 @@ let finish t =
   es @ Online.finish t.engine
 
 (* ------------------------------------------------------------------ *)
+(* Snapshots: the complete frontend + engine state as immutable data.
+   The admitted-id and emitted-id sets are persistent and the pending
+   lists immutable, so they are captured by reference; the staged posts
+   (at most [reorder_window]) become a sorted list and the window a flat
+   array copy. Taking one therefore costs O(window + labels + staged),
+   independent of how long the stream has run.                          *)
+
+type snapshot = {
+  s_cfg : config;
+  s_counters : counters;
+  s_watermark : float;
+  s_high : float;
+  s_seen : Ids.t;
+  s_staged : Post.t list;  (* ascending by (value, id) *)
+  s_engine : Online.snapshot;
+  s_window : Window_index.snapshot option;
+}
+
+let snapshot t =
+  {
+    s_cfg = t.cfg;
+    s_counters = counters t;
+    s_watermark = t.watermark;
+    s_high = t.high;
+    s_seen = t.seen;
+    s_staged = List.sort Post.compare_by_value (Util.Heap.to_list t.buffer);
+    s_engine = Online.export t.engine;
+    s_window = Option.map Window_index.export (Online.window t.engine);
+  }
+
+let of_snapshot s =
+  let engine =
+    try
+      let window =
+        Option.map
+          (Window_index.import (Coverage.Fixed s.s_engine.Online.snap_lambda))
+          s.s_window
+      in
+      Online.import ?window s.s_engine
+    with Invalid_argument m -> raise (Corrupt m)
+  in
+  let t = make s.s_cfg engine in
+  let c = s.s_counters in
+  t.watermark <- s.s_watermark;
+  t.high <- s.s_high;
+  t.seen <- s.s_seen;
+  List.iter (Util.Heap.push t.buffer) s.s_staged;
+  t.c_accepted <- c.accepted;
+  t.c_released <- c.released;
+  t.c_reordered <- c.reordered;
+  t.c_late_dropped <- c.late_dropped;
+  t.c_late_clamped <- c.late_clamped;
+  t.c_duplicate_dropped <- c.duplicate_dropped;
+  t.c_non_finite_dropped <- c.non_finite_dropped;
+  t.c_non_finite_clamped <- c.non_finite_clamped;
+  t.c_rejected <- c.rejected;
+  t.c_shed <- c.shed;
+  t
+
+(* ------------------------------------------------------------------ *)
 (* Checkpoint codec: line-oriented text, magic + version header, IEEE
-   bit-pattern floats, FNV-1a-64 checksum trailer.                     *)
+   bit-pattern floats, FNV-1a-64 checksum trailer. The writer appends
+   straight into one Buffer (Text_codec) — no Printf, no intermediate
+   strings.                                                            *)
 
 let magic = "mqdp-feed-checkpoint"
 let version = 2
 
-let fnv64 s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) prime) s;
-  !h
-
-let hex_of_float f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
-
 let policy_name = function Drop -> "drop" | Clamp -> "clamp" | Raise -> "raise"
 
-let post_fields p =
-  let labels = Label_set.to_list p.Post.labels in
-  Printf.sprintf "%d %s %s" p.Post.id (hex_of_float p.Post.value)
-    (if labels = [] then "-" else String.concat "," (List.map string_of_int labels))
+open Text_codec
 
-let checkpoint t =
+(* "<key> <count> <id> <id> ...": the separator after the count is
+   written even when the list is empty, as the format always has. *)
+let add_id_line b key count iter =
+  Buffer.add_string b key;
+  Buffer.add_char b ' ';
+  add_int b count;
+  Buffer.add_char b ' ';
+  let first = ref true in
+  iter (fun id ->
+      if not !first then Buffer.add_char b ' ';
+      first := false;
+      add_int b id);
+  Buffer.add_char b '\n'
+
+let add_window b (ws : Window_index.snapshot) =
+  let n = Array.length ws.Window_index.snap_ids in
+  Buffer.add_string b "window";
+  add_ints b [ ws.Window_index.snap_expired; n; Bool.to_int ws.Window_index.snap_guarded ];
+  Buffer.add_char b ' ';
+  add_float b ws.Window_index.snap_guard_value;
+  Buffer.add_char b ' ';
+  add_int b ws.Window_index.snap_guard_id;
+  Buffer.add_char b '\n';
+  let offsets = ws.Window_index.snap_offsets and labels = ws.Window_index.snap_labels in
+  for i = 0 to n - 1 do
+    Buffer.add_string b "p ";
+    add_int b ws.Window_index.snap_ids.(i);
+    Buffer.add_char b ' ';
+    add_float b ws.Window_index.snap_values.(i);
+    Buffer.add_char b ' ';
+    let lo = offsets.(i) and hi = offsets.(i + 1) in
+    if lo = hi then Buffer.add_char b '-'
+    else
+      for k = lo to hi - 1 do
+        if k > lo then Buffer.add_char b ',';
+        add_int b labels.(k)
+      done;
+    Buffer.add_char b '\n'
+  done
+
+let encode s =
   let b = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-  line "%s v%d" magic version;
-  line "config %d %s %s %s %s" t.cfg.reorder_window (policy_name t.cfg.late)
-    (policy_name t.cfg.duplicate) (policy_name t.cfg.non_finite)
-    (match t.cfg.overload_budget with None -> "none" | Some n -> string_of_int n);
-  line "counters %d %d %d %d %d %d %d %d %d %d" t.c_accepted t.c_released t.c_reordered
-    t.c_late_dropped t.c_late_clamped t.c_duplicate_dropped t.c_non_finite_dropped
-    t.c_non_finite_clamped t.c_rejected t.c_shed;
-  line "watermark %s %s" (hex_of_float t.watermark) (hex_of_float t.high);
-  let seen = Hashtbl.fold (fun id () acc -> id :: acc) t.seen [] |> List.sort Int.compare in
-  line "seen %d %s" (List.length seen) (String.concat " " (List.map string_of_int seen));
-  let staged = Util.Heap.to_list t.buffer |> List.sort Post.compare_by_value in
-  line "buffer %d" (List.length staged);
-  List.iter (fun p -> line "p %s" (post_fields p)) staged;
-  let s = Online.export t.engine in
-  line "engine %s %s" (hex_of_float s.Online.snap_lambda)
-    (match s.Online.snap_mode with
-    | Online.Instant -> "instant"
-    | Online.Delayed { tau; plus } ->
-      Printf.sprintf "delayed %s %d" (hex_of_float tau) (if plus then 1 else 0));
-  line "last %s"
-    (match s.Online.snap_last_time with None -> "none" | Some v -> hex_of_float v);
-  line "emitted %d %s"
-    (List.length s.Online.snap_emitted)
-    (String.concat " " (List.map string_of_int s.Online.snap_emitted));
-  line "degraded %d %s"
-    (List.length s.Online.snap_degraded)
-    (String.concat " " (List.map string_of_int s.Online.snap_degraded));
-  line "labels %d" (List.length s.Online.snap_labels);
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  str magic;
+  str " v";
+  add_int b version;
+  let cfg = s.s_cfg in
+  str "\nconfig ";
+  add_int b cfg.reorder_window;
+  List.iter
+    (fun p ->
+      chr ' ';
+      str (policy_name p))
+    [ cfg.late; cfg.duplicate; cfg.non_finite ];
+  chr ' ';
+  (match cfg.overload_budget with None -> str "none" | Some n -> add_int b n);
+  let c = s.s_counters in
+  str "\ncounters";
+  add_ints b
+    [
+      c.accepted; c.released; c.reordered; c.late_dropped; c.late_clamped;
+      c.duplicate_dropped; c.non_finite_dropped; c.non_finite_clamped; c.rejected;
+      c.shed;
+    ];
+  str "\nwatermark ";
+  add_float b s.s_watermark;
+  chr ' ';
+  add_float b s.s_high;
+  chr '\n';
+  add_id_line b "seen" (Ids.cardinal s.s_seen) (fun f -> Ids.iter f s.s_seen);
+  str "buffer ";
+  add_int b (List.length s.s_staged);
+  chr '\n';
+  List.iter (add_post_line b) s.s_staged;
+  let e = s.s_engine in
+  str "engine ";
+  add_float b e.Online.snap_lambda;
+  (match e.Online.snap_mode with
+  | Online.Instant -> str " instant"
+  | Online.Delayed { tau; plus } ->
+    str " delayed ";
+    add_float b tau;
+    str (if plus then " 1" else " 0"));
+  str "\nlast ";
+  (match e.Online.snap_last_time with None -> str "none" | Some v -> add_float b v);
+  chr '\n';
+  add_id_line b "emitted" (Ids.cardinal e.Online.snap_emitted) (fun f ->
+      Ids.iter f e.Online.snap_emitted);
+  add_id_line b "degraded" (List.length e.Online.snap_degraded) (fun f ->
+      List.iter f e.Online.snap_degraded);
+  str "labels ";
+  add_int b (List.length e.Online.snap_labels);
+  chr '\n';
   List.iter
     (fun ls ->
-      line "label %d %d" ls.Online.snap_label (List.length ls.Online.snap_pending);
-      (match ls.Online.snap_last_out with
-      | None -> line "last none"
-      | Some p -> line "last %s" (post_fields p));
-      List.iter (fun p -> line "p %s" (post_fields p)) ls.Online.snap_pending)
-    s.Online.snap_labels;
-  (match Online.window t.engine with
-  | None -> line "window none"
-  | Some w ->
-    let ws = Window_index.export w in
-    line "window %d %d %d %s %d" ws.Window_index.snap_expired
-      (List.length ws.Window_index.snap_posts)
-      (if ws.Window_index.snap_guarded then 1 else 0)
-      (hex_of_float ws.Window_index.snap_guard_value)
-      ws.Window_index.snap_guard_id;
-    List.iter (fun p -> line "p %s" (post_fields p)) ws.Window_index.snap_posts);
-  let body = Buffer.contents b in
-  Printf.sprintf "%schecksum %016Lx\n" body (fnv64 body)
+      str "label";
+      add_ints b [ ls.Online.snap_label; List.length ls.Online.snap_pending ];
+      str "\nlast ";
+      (match ls.Online.snap_last_out with None -> str "none" | Some p -> add_post b p);
+      chr '\n';
+      List.iter (add_post_line b) ls.Online.snap_pending)
+    e.Online.snap_labels;
+  (match s.s_window with None -> str "window none\n" | Some ws -> add_window b ws);
+  let sum = Util.Hash.fnv1a64 (Buffer.contents b) in
+  str "checksum ";
+  Util.Hash.add_hex64 b sum;
+  chr '\n';
+  Buffer.contents b
+
+let checkpoint t = encode (snapshot t)
 
 (* --- parsing --- *)
 
@@ -380,7 +493,7 @@ let int_list what n fields =
   if List.length fields < n then corrupt "truncated %s list" what
   else List.filteri (fun i _ -> i < n) fields |> List.map (int_field what)
 
-let restore text =
+let decode text =
   (* Split off and verify the checksum trailer first: everything else is
      only trusted once the body hashes correctly. *)
   let body, sum =
@@ -392,7 +505,7 @@ let restore text =
   in
   (match String.split_on_char ' ' sum with
   | [ "checksum"; hex ] ->
-    if Printf.sprintf "%016Lx" (fnv64 body) <> hex then corrupt "checksum mismatch"
+    if Util.Hash.hex64 (Util.Hash.fnv1a64 body) <> hex then corrupt "checksum mismatch"
   | _ -> corrupt "missing checksum trailer");
   let cur = { lines = Array.of_list (String.split_on_char '\n' (String.trim body)); at = 0 } in
   (match String.split_on_char ' ' (next cur) with
@@ -418,9 +531,23 @@ let restore text =
     | _ -> corrupt "bad config line"
   in
   (try validate_config cfg with Invalid_argument m -> corrupt "%s" m);
-  let cnt =
+  let counters =
     match List.map (int_field "counters") (expect cur "counters") with
-    | [ _; _; _; _; _; _; _; _; _; _ ] as l -> Array.of_list l
+    | [ accepted; released; reordered; late_dropped; late_clamped; duplicate_dropped;
+        non_finite_dropped; non_finite_clamped; rejected; shed ] ->
+      {
+        accepted;
+        released;
+        reordered;
+        late_dropped;
+        late_clamped;
+        duplicate_dropped;
+        non_finite_dropped;
+        non_finite_clamped;
+        rejected;
+        degraded_labels = 0 (* not stored: the engine's degraded count, below *);
+        shed;
+      }
     | _ -> corrupt "bad counters line"
   in
   let watermark, high =
@@ -435,7 +562,9 @@ let restore text =
   in
   let staged =
     match expect cur "buffer" with
-    | [ n ] -> List.init (int_field "buffer count" n) (fun _ -> post_of_fields (expect cur "p"))
+    | [ n ] ->
+      List.init (int_field "buffer count" n) (fun _ -> post_of_fields (expect cur "p"))
+      |> List.sort Post.compare_by_value
     | _ -> corrupt "bad buffer line"
   in
   let lambda, mode =
@@ -467,7 +596,8 @@ let restore text =
   in
   let degraded =
     match expect cur "degraded" with
-    | n :: rest -> int_list "degraded" (int_field "degraded count" n) rest
+    | n :: rest ->
+      int_list "degraded" (int_field "degraded count" n) rest |> List.sort_uniq Int.compare
     | [] -> corrupt "bad degraded line"
   in
   let num_labels =
@@ -495,13 +625,25 @@ let restore text =
     | [ "none" ] -> None
     | [ expired; count; guarded; guardv; guardid ] ->
       let posts =
-        List.init (int_field "window post count" count) (fun _ ->
+        Array.init (int_field "window post count" count) (fun _ ->
             post_of_fields (expect cur "p"))
       in
-      let snap =
+      let offsets = Array.make (Array.length posts + 1) 0 in
+      Array.iteri
+        (fun i p -> offsets.(i + 1) <- offsets.(i) + Label_set.cardinal p.Post.labels)
+        posts;
+      let labels = Array.make offsets.(Array.length posts) 0 in
+      Array.iteri
+        (fun i p ->
+          List.iteri (fun k a -> labels.(offsets.(i) + k) <- a) (Label_set.to_list p.Post.labels))
+        posts;
+      Some
         {
           Window_index.snap_expired = int_field "window expired" expired;
-          snap_posts = posts;
+          snap_ids = Array.map (fun p -> p.Post.id) posts;
+          snap_values = Array.map (fun p -> p.Post.value) posts;
+          snap_offsets = offsets;
+          snap_labels = labels;
           snap_guard_value = float_of_hex guardv;
           snap_guard_id = int_field "window guard id" guardid;
           snap_guarded =
@@ -510,41 +652,29 @@ let restore text =
             | "1" -> true
             | s -> corrupt "bad window guard flag %S" s);
         }
-      in
-      (try Some (Window_index.import (Coverage.Fixed lambda) snap)
-       with Invalid_argument m -> corrupt "%s" m)
     | _ -> corrupt "bad window line"
   in
   if cur.at <> Array.length cur.lines then corrupt "trailing garbage after window table";
-  let snapshot =
-    {
-      Online.snap_lambda = lambda;
-      snap_mode = mode;
-      snap_last_time = last_time;
-      snap_emitted = emitted;
-      snap_degraded = degraded;
-      snap_labels;
-    }
-  in
-  let engine =
-    try Online.import ?window snapshot with Invalid_argument m -> corrupt "%s" m
-  in
-  let t = make cfg engine in
-  t.watermark <- watermark;
-  t.high <- high;
-  List.iter (fun id -> Hashtbl.replace t.seen id ()) seen;
-  List.iter (fun p -> Util.Heap.push t.buffer p) staged;
-  t.c_accepted <- cnt.(0);
-  t.c_released <- cnt.(1);
-  t.c_reordered <- cnt.(2);
-  t.c_late_dropped <- cnt.(3);
-  t.c_late_clamped <- cnt.(4);
-  t.c_duplicate_dropped <- cnt.(5);
-  t.c_non_finite_dropped <- cnt.(6);
-  t.c_non_finite_clamped <- cnt.(7);
-  t.c_rejected <- cnt.(8);
-  t.c_shed <- cnt.(9);
-  t
+  {
+    s_cfg = cfg;
+    s_counters = { counters with degraded_labels = List.length degraded };
+    s_watermark = watermark;
+    s_high = high;
+    s_seen = Ids.of_list seen;
+    s_staged = staged;
+    s_engine =
+      {
+        Online.snap_lambda = lambda;
+        snap_mode = mode;
+        snap_last_time = last_time;
+        snap_emitted = Ids.of_list emitted;
+        snap_degraded = degraded;
+        snap_labels;
+      };
+    s_window = window;
+  }
+
+let restore text = of_snapshot (decode text)
 
 (* Crash-safe: temp + fsync + rename, so a process killed mid-write can
    tear only the ignored temp sibling, never the checkpoint itself. *)

@@ -16,10 +16,11 @@
       demoted to instant handling ({!Online.degrade_earliest}) — the
       emission guarantees survive, queues stop growing, and the shed work
       is counted instead of silently lost;
-    - {e checkpoint/restore}: a versioned, checksummed, text serialization
-      of the complete frontend + engine state. Restoring a checkpoint and
-      replaying the remaining stream yields emissions bit-identical to a
-      run that never died.
+    - {e checkpoint/restore}: an immutable snapshot of the complete
+      frontend + engine state, with a versioned, checksummed text
+      serialization for disk. Restoring a checkpoint and replaying the
+      remaining stream yields emissions bit-identical to a run that never
+      died.
 
     Every policy decision is deterministic, so a faulty feed replays
     exactly from a seed — which is what `bin/mqdp_fuzz --fault` leans on. *)
@@ -124,16 +125,44 @@ val watermark : t -> float option
 
 (** {2 Checkpointing}
 
-    The serialization is line-oriented text: a magic+version header, the
-    full frontend and engine state (floats as IEEE-754 bit patterns, so
-    round-trips are exact), the mirrored window when one is attached,
-    and a trailing FNV-1a-64 checksum over the body. [restore
-    (checkpoint t)] is observationally identical to [t]: pushing the
-    same remaining stream produces bit-identical emissions. Checkpoints
-    from other format versions raise {!Unsupported_version}. *)
+    A {!snapshot} is the complete frontend and engine state as immutable
+    data. It shares nothing mutable with the feed it came from: the
+    admitted-id and emitted-id sets are persistent and captured by
+    reference, the staged posts and pending lists are immutable lists,
+    and the window is a flat array copy. So {!snapshot} costs
+    O(window + labels + staged) however long the stream has run, and a
+    snapshot stays valid while its feed moves on. [of_snapshot
+    (snapshot t)] is observationally identical to [t]: pushing the same
+    remaining stream produces bit-identical emissions.
 
+    Text exists only where bytes leave the process: {!encode} /
+    {!checkpoint} write a line-oriented format with a magic+version
+    header, floats as IEEE-754 bit patterns (exact round-trips), the
+    mirrored window when one is attached, and a trailing FNV-1a-64
+    checksum over the body. {!decode} / {!restore} are the inverse;
+    checkpoints from other format versions raise {!Unsupported_version}. *)
+
+type snapshot
+
+val snapshot : t -> snapshot
+
+(** A fresh feed rebuilt from a snapshot; only reads it, so one snapshot
+    can seed any number of feeds. Raises {!Corrupt} on a structurally
+    invalid (decoded) snapshot. *)
+val of_snapshot : snapshot -> t
+
+(** The v2 text of a snapshot. [encode (decode s) = s] for every text
+    this format version has written. *)
+val encode : snapshot -> string
+
+(** Parse and validate v2 text. Raises {!Corrupt} or
+    {!Unsupported_version}. *)
+val decode : string -> snapshot
+
+(** [encode (snapshot t)]. *)
 val checkpoint : t -> string
 
+(** [of_snapshot (decode text)]. *)
 val restore : string -> t
 
 (** [save_checkpoint ~path t] writes {!checkpoint} crash-safely: the bytes

@@ -83,13 +83,11 @@ let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s
 
 let subset a b =
   let lb = Array.length b in
-  let ok = ref true in
-  Array.iteri
-    (fun i wa ->
-      let wb = if i < lb then b.(i) else 0 in
-      if wa land lnot wb <> 0 then ok := false)
-    a;
-  !ok
+  let rec loop i =
+    i >= Array.length a
+    || (a.(i) land lnot (if i < lb then b.(i) else 0) = 0 && loop (i + 1))
+  in
+  loop 0
 
 let disjoint a b =
   let len = min (Array.length a) (Array.length b) in

@@ -14,13 +14,16 @@ type label_state = {
   mutable deadline : float;  (* infinity when nothing pending *)
 }
 
+module Ids = Set.Make (Int)
+
 type t = {
   lambda : float;
   lam : Coverage.lambda;  (* [Fixed lambda], for the shared geometry helpers *)
   mode : mode;
   states : (Label.t, label_state) Hashtbl.t;
   mutable heap : (float * Label.t) Util.Heap.t;
-  emitted : (int, unit) Hashtbl.t;  (* distinct emitted post ids *)
+  mutable emitted : Ids.t;  (* distinct emitted post ids; persistent, so
+                                a snapshot captures it by reference *)
   mutable last_time : float option;
   degraded : (Label.t, unit) Hashtbl.t;  (* labels demoted to instant handling *)
   mutable live_pending : int;  (* labels with a non-empty pending list *)
@@ -37,7 +40,7 @@ type snapshot = {
   snap_lambda : float;
   snap_mode : mode;
   snap_last_time : float option;
-  snap_emitted : int list;  (* ascending *)
+  snap_emitted : Ids.t;
   snap_degraded : Label.t list;  (* ascending *)
   snap_labels : label_snapshot list;  (* ascending by label *)
 }
@@ -66,7 +69,7 @@ let create ?window ~lambda mode =
     mode;
     states = Hashtbl.create 16;
     heap = Util.Heap.create heap_cmp;
-    emitted = Hashtbl.create 64;
+    emitted = Ids.empty;
     last_time = None;
     degraded = Hashtbl.create 4;
     live_pending = 0;
@@ -150,7 +153,7 @@ let refresh_deadline t a =
   end
 
 let record_emission t out post emit_time =
-  Hashtbl.replace t.emitted post.Post.id ();
+  t.emitted <- Ids.add post.Post.id t.emitted;
   out := { post; emit_time } :: !out
 
 (* The two coverage primitives the engine shares with the window mirror.
@@ -319,7 +322,7 @@ let finish t =
   fire_due t out ~until:infinity ~inclusive:true;
   sort_emissions (List.rev !out)
 
-let emitted_count t = Hashtbl.length t.emitted
+let emitted_count t = Ids.cardinal t.emitted
 
 let deadline_queue_length t = Util.Heap.length t.heap
 
@@ -380,8 +383,7 @@ let export t =
     snap_lambda = t.lambda;
     snap_mode = t.mode;
     snap_last_time = t.last_time;
-    snap_emitted =
-      Hashtbl.fold (fun id () acc -> id :: acc) t.emitted [] |> List.sort Int.compare;
+    snap_emitted = t.emitted;
     snap_degraded =
       Hashtbl.fold (fun a () acc -> a :: acc) t.degraded [] |> List.sort Int.compare;
     snap_labels;
@@ -405,7 +407,7 @@ let import ?window s =
       | _ -> ()))
     s.snap_labels;
   let t = create ?window ~lambda:s.snap_lambda s.snap_mode in
-  List.iter (fun id -> Hashtbl.replace t.emitted id ()) s.snap_emitted;
+  t.emitted <- s.snap_emitted;
   List.iter (fun a -> Hashtbl.replace t.degraded a ()) s.snap_degraded;
   List.iter
     (fun ls ->

@@ -27,9 +27,9 @@ type t = {
   mutable feed : Feed.t;  (* live incarnation; rebuilt wholesale on crash *)
   (* Durable state: everything below survives a crash because recovery
      only ever reads it — the live feed is the one thing rebuilt. *)
-  mutable ckpt : string;
+  mutable ckpt : Feed.snapshot;
   mutable ckpt_emit_seq : int;
-  mutable ckpt_buffer : (int * Online.emission) list;  (* ascending *)
+  mutable ckpt_buffer_rev : (int * Online.emission) list;  (* newest first *)
   mutable journal_rev : Post.t list;  (* applied since ckpt, newest first *)
   mutable journal_n : int;
   pending_q : Post.t Queue.t;
@@ -63,9 +63,9 @@ let create ~name ~subscription config =
     quarantined = false;
     crashes = 0;
     feed;
-    ckpt = Feed.checkpoint feed;
+    ckpt = Feed.snapshot feed;
     ckpt_emit_seq = 0;
-    ckpt_buffer = [];
+    ckpt_buffer_rev = [];
     journal_rev = [];
     journal_n = 0;
     pending_q = Queue.create ();
@@ -120,10 +120,10 @@ let apply_post t post =
    the emissions the dead incarnation produced — same order, and (counting
    from the checkpoint's sequence number) the same sequence numbers — so
    the unreported buffer can be reconstructed precisely: pre-checkpoint
-   emissions come from [ckpt_buffer], post-checkpoint ones from the
-   replay, both filtered by the reported watermark. *)
-let recover t =
-  let feed = Feed.restore t.ckpt in
+   emissions come from [ckpt_buffer_rev], post-checkpoint ones from the
+   replay, both filtered by the reported watermark. [feed] is the fresh
+   incarnation, built from [t.ckpt]. *)
+let replay_into t feed =
   t.feed <- feed;
   let seq = ref t.ckpt_emit_seq in
   let replayed_rev = ref [] in
@@ -140,14 +140,19 @@ let recover t =
   List.iter replay (List.rev t.journal_rev);
   t.emit_seq <- !seq;
   let kept_ckpt =
-    List.filter (fun (s, _) -> s > t.reported_upto) t.ckpt_buffer
+    List.filter (fun (s, _) -> s > t.reported_upto) t.ckpt_buffer_rev
   in
-  t.buffer_rev <- !replayed_rev @ List.rev kept_ckpt
+  t.buffer_rev <- !replayed_rev @ kept_ckpt
 
+let recover t = replay_into t (Feed.of_snapshot t.ckpt)
+
+(* The snapshot shares no mutable state with the live feed and the
+   emission list is immutable, so both are kept by reference: the cost is
+   independent of the stream's age. *)
 let checkpoint_now t =
-  t.ckpt <- Feed.checkpoint t.feed;
+  t.ckpt <- Feed.snapshot t.feed;
   t.ckpt_emit_seq <- t.emit_seq;
-  t.ckpt_buffer <- List.rev t.buffer_rev;
+  t.ckpt_buffer_rev <- t.buffer_rev;
   t.journal_rev <- [];
   t.journal_n <- 0
 
@@ -218,21 +223,15 @@ let revive t =
 (* {2 Durable serialization}
 
    Line-oriented text mirroring Feed's checkpoint idioms: floats as hex
-   IEEE-754 bit patterns (exact round-trips), the embedded feed checkpoint
-   escaped onto one line. Integrity (checksums) is the enclosing shard
-   snapshot's job. *)
-
-let hex_of_float f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
+   IEEE-754 bit patterns (exact round-trips), the feed snapshot encoded
+   as a v2 checkpoint and escaped onto one line. This is the only place a
+   profile's checkpoint becomes text. Integrity (checksums) is the
+   enclosing shard snapshot's job. *)
 
 let float_of_hex s =
   match Int64.of_string_opt ("0x" ^ s) with
   | Some bits -> Int64.float_of_bits bits
   | None -> raise (Feed.Corrupt (Printf.sprintf "bad float field %S" s))
-
-let labels_field ls =
-  match Label_set.to_list ls with
-  | [] -> "-"
-  | labels -> String.concat "," (List.map string_of_int labels)
 
 let labels_of_field s =
   if s = "-" then Label_set.empty
@@ -244,10 +243,6 @@ let labels_of_field s =
            | Some l when l >= 0 -> l
            | _ -> raise (Feed.Corrupt (Printf.sprintf "bad label field %S" s)))
          (String.split_on_char ',' s))
-
-let post_field p =
-  Printf.sprintf "%d %s %s" p.Post.id (hex_of_float p.Post.value)
-    (labels_field p.Post.labels)
 
 let post_of_tokens = function
   | [ id; value; labels ] -> (
@@ -265,44 +260,61 @@ let policy_of_char = function
   | 'r' -> Feed.Raise
   | c -> raise (Feed.Corrupt (Printf.sprintf "bad policy char %c" c))
 
-let mode_field = function
-  | Online.Instant -> "instant"
-  | Online.Delayed { tau; plus } ->
-    Printf.sprintf "delayed %s %d" (hex_of_float tau) (if plus then 1 else 0)
-
 let blob t =
+  let open Text_codec in
   let b = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "name %s" (String.escaped t.name);
-  line "flags %d %d %d" (if t.degraded then 1 else 0)
-    (if t.quarantined then 1 else 0)
-    t.crashes;
-  line "counters %d %d %d" t.acked t.applied t.rejected;
-  line "seqs %d %d" t.reported_upto t.ckpt_emit_seq;
-  line "config %s %s %d %d %d"
-    (hex_of_float t.config.lambda)
-    (mode_field t.config.mode)
-    (if t.config.window then 1 else 0)
-    t.config.checkpoint_every t.config.max_restarts;
+  let str = Buffer.add_string b and chr = Buffer.add_char b in
+  str "name ";
+  str (String.escaped t.name);
+  str "\nflags";
+  add_ints b [ Bool.to_int t.degraded; Bool.to_int t.quarantined; t.crashes ];
+  str "\ncounters";
+  add_ints b [ t.acked; t.applied; t.rejected ];
+  str "\nseqs";
+  add_ints b [ t.reported_upto; t.ckpt_emit_seq ];
+  str "\nconfig ";
+  add_float b t.config.lambda;
+  (match t.config.mode with
+  | Online.Instant -> str " instant"
+  | Online.Delayed { tau; plus } ->
+    str " delayed ";
+    add_float b tau;
+    add_ints b [ Bool.to_int plus ]);
+  add_ints b
+    [ Bool.to_int t.config.window; t.config.checkpoint_every; t.config.max_restarts ];
   let fc = t.config.feed in
-  line "feedcfg %d %c %c %c %s" fc.Feed.reorder_window (policy_char fc.Feed.late)
-    (policy_char fc.Feed.duplicate)
-    (policy_char fc.Feed.non_finite)
-    (match fc.Feed.overload_budget with
-    | None -> "none"
-    | Some n -> string_of_int n);
-  line "sub %s" (labels_field t.subscription);
-  line "ckpt %s" (String.escaped t.ckpt);
-  line "cb %d" (List.length t.ckpt_buffer);
+  str "\nfeedcfg ";
+  add_int b fc.Feed.reorder_window;
+  List.iter
+    (fun p ->
+      chr ' ';
+      chr (policy_char p))
+    [ fc.Feed.late; fc.Feed.duplicate; fc.Feed.non_finite ];
+  chr ' ';
+  (match fc.Feed.overload_budget with None -> str "none" | Some n -> add_int b n);
+  str "\nsub ";
+  add_labels b t.subscription;
+  str "\nckpt ";
+  str (String.escaped (Feed.encode t.ckpt));
+  str "\ncb ";
+  add_int b (List.length t.ckpt_buffer_rev);
   List.iter
     (fun (seq, e) ->
-      line "e %d %s %s" seq (hex_of_float e.Online.emit_time)
-        (post_field e.Online.post))
-    t.ckpt_buffer;
-  line "j %d" t.journal_n;
-  List.iter (fun p -> line "p %s" (post_field p)) (List.rev t.journal_rev);
-  line "pq %d" t.pending_n;
-  Queue.iter (fun p -> line "p %s" (post_field p)) t.pending_q;
+      str "\ne ";
+      add_int b seq;
+      chr ' ';
+      add_float b e.Online.emit_time;
+      chr ' ';
+      add_post b e.Online.post)
+    (List.rev t.ckpt_buffer_rev);
+  str "\nj ";
+  add_int b t.journal_n;
+  chr '\n';
+  List.iter (add_post_line b) (List.rev t.journal_rev);
+  str "pq ";
+  add_int b t.pending_n;
+  chr '\n';
+  Queue.iter (add_post_line b) t.pending_q;
   Buffer.contents b
 
 let of_blob s =
@@ -371,7 +383,7 @@ let of_blob s =
     | _ -> raise (Feed.Corrupt "bad feedcfg line")
   in
   let subscription = labels_of_field (next "sub") in
-  let ckpt = unescape (next "ckpt") in
+  let ckpt = Feed.decode (unescape (next "ckpt")) in
   let count tag = int_tok (next tag) in
   let ckpt_buffer =
     List.init (count "cb") (fun _ ->
@@ -393,6 +405,7 @@ let of_blob s =
   in
   let pending_q = Queue.create () in
   List.iter (fun p -> Queue.push p pending_q) pending;
+  let feed = Feed.of_snapshot ckpt in
   let t =
     {
       name;
@@ -401,10 +414,10 @@ let of_blob s =
       degraded;
       quarantined;
       crashes;
-      feed = Feed.restore ckpt;
+      feed;
       ckpt;
       ckpt_emit_seq;
-      ckpt_buffer;
+      ckpt_buffer_rev = List.rev ckpt_buffer;
       journal_rev = List.rev journal;
       journal_n = List.length journal;
       pending_q;
@@ -420,5 +433,5 @@ let of_blob s =
   in
   (* Rebuilding from durable state IS the crash-recovery path: replay the
      journal to regenerate the live feed, sequence counter, and buffer. *)
-  recover t;
+  replay_into t feed;
   t

@@ -110,7 +110,10 @@ val take_report : t -> (int * Online.emission) list
     they must be baked into the checkpoint to stay durable. *)
 val drain : t -> unit
 
-(** Refresh the checkpoint to the current live state (journal resets). *)
+(** Refresh the checkpoint to the current live state (journal resets).
+    The checkpoint is a {!Feed.snapshot} sharing structure with the live
+    feed, so this costs O(window + labels + staged posts), independent of
+    how many posts the profile has admitted. *)
 val checkpoint_now : t -> unit
 
 (** [revive t] — un-quarantine: rebuild the live feed from the

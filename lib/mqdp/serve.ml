@@ -39,7 +39,18 @@ let default_config =
 type entry = {
   e_name : string;
   e_shard : int;
+  e_sub : Label_set.t;
   mutable e_stamp : int;
+}
+
+(* One label's subscribers. When [clean], [entries] holds only live
+   entries, sorted by name. ADD prepends and marks the bucket dirty; DEL
+   and [load_shard] mark their labels' buckets dirty; the next FEED on the
+   label filters and sorts once. Steady-state fan-out therefore does no
+   string work at all. *)
+type bucket = {
+  mutable entries : entry list;
+  mutable clean : bool;
 }
 
 (* One sequence space: the watermark and the retried-response cache. The
@@ -62,7 +73,7 @@ type t = {
   pool : Util.Pool.t;
   shards : Shard.t array;
   names : (string, entry) Hashtbl.t;
-  by_label : (Label.t, entry list ref) Hashtbl.t;
+  by_label : (Label.t, bucket) Hashtbl.t;
   mutable stamp : int;
   default_session : session;
   sessions : (string, session) Hashtbl.t;
@@ -89,15 +100,8 @@ let m_backlog = Util.Telemetry.gauge "serve.backlog"
 let m_request = Util.Telemetry.histogram "serve.request"
 let m_report = Util.Telemetry.histogram "serve.report"
 
-let fnv64 s =
-  let p = 0x100000001b3L and h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) p)
-    s;
-  !h
-
 let shard_of_name ~shards name =
-  Int64.to_int (Int64.rem (Int64.logand (fnv64 name) Int64.max_int)
+  Int64.to_int (Int64.rem (Int64.logand (Util.Hash.fnv1a64 name) Int64.max_int)
                   (Int64.of_int shards))
 
 let create (config : config) =
@@ -163,13 +167,33 @@ let find_profile t name =
   | None -> None
   | Some entry -> Shard.find t.shards.(entry.e_shard) name
 
-let index_entry t entry subscription =
+let index_entry t entry =
   Label_set.iter
     (fun label ->
       match Hashtbl.find_opt t.by_label label with
-      | Some r -> r := entry :: !r
-      | None -> Hashtbl.add t.by_label label (ref [ entry ]))
-    subscription
+      | Some bk ->
+        bk.entries <- entry :: bk.entries;
+        bk.clean <- false
+      | None -> Hashtbl.add t.by_label label { entries = [ entry ]; clean = true })
+    entry.e_sub
+
+let unindex_entry t entry =
+  Hashtbl.remove t.names entry.e_name;
+  Label_set.iter
+    (fun label ->
+      match Hashtbl.find_opt t.by_label label with
+      | Some bk -> bk.clean <- false
+      | None -> ())
+    entry.e_sub
+
+let by_name a b = String.compare a.e_name b.e_name
+
+let live_entries t bk =
+  if not bk.clean then begin
+    bk.entries <- List.sort by_name (List.filter (alive t) bk.entries);
+    bk.clean <- true
+  end;
+  bk.entries
 
 let restart_shard t i =
   if i < 0 || i >= Array.length t.shards then
@@ -190,18 +214,28 @@ let load_shard t i snap =
   let shard = Shard.restore snap in
   (* Drop the name-table entries of the shard being replaced, then index
      the restored profile set; stale label-index references filter out
-     lazily through the aliveness check. *)
+     when their buckets are next cleaned. *)
   let stale =
-    Hashtbl.fold (fun name e acc -> if e.e_shard = i then name :: acc else acc)
-      t.names []
+    Hashtbl.fold (fun _ e acc -> if e.e_shard = i then e :: acc else acc) t.names []
   in
-  List.iter (Hashtbl.remove t.names) stale;
+  List.iter (unindex_entry t) stale;
   t.shards.(i) <- shard;
   List.iter
     (fun profile ->
-      let entry = { e_name = Profile.name profile; e_shard = i; e_stamp = 0 } in
+      let entry =
+        {
+          e_name = Profile.name profile;
+          e_shard = i;
+          e_sub = Profile.subscription profile;
+          e_stamp = 0;
+        }
+      in
+      (* a name another shard also holds (inconsistent snapshots) moves
+         here, as the table replace always did; its old entry must stop
+         receiving posts *)
+      Option.iter (unindex_entry t) (Hashtbl.find_opt t.names entry.e_name);
       Hashtbl.replace t.names entry.e_name entry;
-      index_entry t entry (Profile.subscription profile))
+      index_entry t entry)
     (Shard.profiles shard)
 
 (* {2 Wire protocol} *)
@@ -301,9 +335,9 @@ let handle_add t seq name lambda mode labels flags =
       if degrade then Profile.mark_degraded profile;
       let shard = shard_of_name ~shards:t.config.shards name in
       Shard.add t.shards.(shard) profile;
-      let entry = { e_name = name; e_shard = shard; e_stamp = 0 } in
+      let entry = { e_name = name; e_shard = shard; e_sub = subscription; e_stamp = 0 } in
       Hashtbl.replace t.names name entry;
-      index_entry t entry subscription;
+      index_entry t entry;
       [ (if degrade then ok seq "added degraded" else ok seq "added") ]
     end
   end
@@ -315,44 +349,54 @@ let handle_feed t seq id value labels =
         ~labels:(parse_labels labels)
     with Invalid_argument m -> bad "%s" m
   in
-  (* Fan out through the inverted index; the stamp deduplicates a post
-     matching a profile on several labels. Matches deliver in name order
-     so queue-full shedding is deterministic. *)
+  (* Fan out through the inverted index. Matches deliver in name order so
+     queue-full shedding is deterministic: a single bucket already is in
+     that order, several are merged, and the stamp skips a profile
+     matching on more than one label (adjacent after the merge). *)
   t.stamp <- t.stamp + 1;
-  let matches = ref [] in
-  Label_set.iter
-    (fun label ->
-      match Hashtbl.find_opt t.by_label label with
-      | None -> ()
-      | Some r ->
-        r := List.filter (alive t) !r;
-        List.iter
-          (fun e ->
-            if e.e_stamp <> t.stamp then begin
-              e.e_stamp <- t.stamp;
-              matches := e :: !matches
-            end)
-          !r)
-    post.Post.labels;
   let matches =
-    List.sort (fun a b -> String.compare a.e_name b.e_name) !matches
+    let buckets = ref [] in
+    Label_set.iter
+      (fun label ->
+        match Hashtbl.find_opt t.by_label label with
+        | Some bk -> buckets := live_entries t bk :: !buckets
+        | None -> ())
+      post.Post.labels;
+    match !buckets with
+    | [] -> []
+    | first :: rest -> List.fold_left (List.merge by_name) first rest
+  in
+  (* Posts are immutable, so profiles whose subscriptions cut the post
+     the same way queue one shared record: the post itself when it lies
+     inside the subscription, else one per distinct projection. *)
+  let projections = ref [] in
+  let project sub =
+    if Label_set.subset post.Post.labels sub then Some post
+    else
+      let labels = Label_set.inter post.Post.labels sub in
+      if Label_set.is_empty labels then None
+      else
+        match List.find_opt (fun (ls, _) -> Label_set.equal ls labels) !projections with
+        | Some (_, p) -> Some p
+        | None ->
+          let p = Post.make ~id:post.Post.id ~value:post.Post.value ~labels in
+          projections := (labels, p) :: !projections;
+          Some p
   in
   let delivered = ref 0 and shed = ref 0 in
   List.iter
     (fun e ->
-      match Shard.find t.shards.(e.e_shard) e.e_name with
-      | None -> ()
-      | Some profile ->
-        let projected =
-          Label_set.inter post.Post.labels (Profile.subscription profile)
-        in
-        if not (Label_set.is_empty projected) then begin
-          let p =
-            Post.make ~id:post.Post.id ~value:post.Post.value ~labels:projected
-          in
-          if Shard.offer t.shards.(e.e_shard) profile p then incr delivered
-          else incr shed
-        end)
+      if e.e_stamp <> t.stamp then begin
+        e.e_stamp <- t.stamp;
+        match Shard.find t.shards.(e.e_shard) e.e_name with
+        | None -> ()
+        | Some profile -> (
+          match project e.e_sub with
+          | None -> ()
+          | Some p ->
+            if Shard.offer t.shards.(e.e_shard) profile p then incr delivered
+            else incr shed)
+      end)
     matches;
   Util.Telemetry.add m_acked !delivered;
   Util.Telemetry.add m_shed !shed;
@@ -502,7 +546,7 @@ let handle t seq tokens =
       (match entry with
       | None -> [ err seq "unknown-profile" "no such profile %S" name ]
       | Some e ->
-        Hashtbl.remove t.names name;
+        unindex_entry t e;
         ignore (Shard.remove t.shards.(e.e_shard) name);
         [ ok seq "deleted" ])
     | [ "FEED"; id; value; labels ] -> handle_feed t seq id value labels

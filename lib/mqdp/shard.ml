@@ -117,14 +117,6 @@ let tick ?chaos ?deadline t =
 
 exception Corrupt of string
 
-let fnv64 s =
-  let p = 0x100000001b3L and h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) p)
-    s;
-  !h
-
 let magic = "mqdp-shard-snapshot"
 let version = 1
 
@@ -137,10 +129,16 @@ let snapshot t =
   line "counters %d %d %d" t.acked t.shed t.applied;
   line "profiles %d" (Hashtbl.length t.table);
   List.iter
-    (fun p -> line "P %s" (String.escaped (Profile.blob p)))
+    (fun p ->
+      Buffer.add_string b "P ";
+      Buffer.add_string b (String.escaped (Profile.blob p));
+      Buffer.add_char b '\n')
     (profiles t);
-  let body = Buffer.contents b in
-  Printf.sprintf "%schecksum %016Lx\n" body (fnv64 body)
+  let sum = Util.Hash.fnv1a64 (Buffer.contents b) in
+  Buffer.add_string b "checksum ";
+  Util.Hash.add_hex64 b sum;
+  Buffer.add_char b '\n';
+  Buffer.contents b
 
 let restore s =
   let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt in
@@ -154,7 +152,7 @@ let restore s =
   in
   (match String.split_on_char ' ' checksum_line with
   | [ "checksum"; hex ] ->
-    if Printf.sprintf "%016Lx" (fnv64 body) <> hex then corrupt "checksum mismatch"
+    if Util.Hash.hex64 (Util.Hash.fnv1a64 body) <> hex then corrupt "checksum mismatch"
   | _ -> corrupt "bad checksum line");
   let lines = ref (List.filter (fun l -> l <> "") (String.split_on_char '\n' body)) in
   let next () =

@@ -644,26 +644,56 @@ let apply_pick t sv ~gain ~dirty ~touched w =
 
 type snapshot = {
   snap_expired : int;
-  snap_posts : Post.t list;
+  snap_ids : int array;
+  snap_values : float array;
+  snap_offsets : int array;
+  snap_labels : int array;
   snap_guard_value : float;
   snap_guard_id : int;
   snap_guarded : bool;
 }
 
+(* A flat copy of the live storage: three arrays and the label slots. A
+   post's slots were pushed in ascending label order, so each slice of
+   [snap_labels] is already sorted. *)
 let export t =
   let n = size t in
-  let rec collect w acc = if w < 0 then acc else collect (w - 1) (post t w :: acc) in
+  let p0 = t.phead - t.pbase in
+  let s0 = Flat.Ints.get t.poff p0 in
+  let nslots = Flat.Ints.get t.poff (p0 + n) - s0 in
+  let vbuf = Flat.Floats.unsafe_buf t.pval in
+  let values = Array.make n 0. in
+  for w = 0 to n - 1 do
+    Array.unsafe_set values w (A1.unsafe_get vbuf (p0 + w))
+  done;
   {
     snap_expired = t.phead;
-    snap_posts = collect (n - 1) [];
+    snap_ids = Array.init n (fun w -> Flat.Ints.get_u t.pids (p0 + w));
+    snap_values = values;
+    snap_offsets = Array.init (n + 1) (fun w -> Flat.Ints.get t.poff (p0 + w) - s0);
+    snap_labels = Array.init nslots (fun k -> Flat.Ints.get_u t.slab (s0 - t.sbase + k));
     snap_guard_value = t.lastv;
     snap_guard_id = t.lastid;
     snap_guarded = t.guarded;
   }
 
+let snapshot_post s i =
+  let labels = ref Label_set.empty in
+  for k = s.snap_offsets.(i) to s.snap_offsets.(i + 1) - 1 do
+    labels := Label_set.add s.snap_labels.(k) !labels
+  done;
+  Post.make ~id:s.snap_ids.(i) ~value:s.snap_values.(i) ~labels:!labels
+
 let import lam s =
   if s.snap_expired < 0 then
     invalid_arg "Window_index.import: negative expired count";
+  let n = Array.length s.snap_ids in
+  if
+    Array.length s.snap_values <> n
+    || Array.length s.snap_offsets <> n + 1
+    || s.snap_offsets.(0) <> 0
+    || s.snap_offsets.(n) <> Array.length s.snap_labels
+  then invalid_arg "Window_index.import: inconsistent snapshot arrays";
   let t = create lam in
   (* resume arrival numbering where the exporter stood: the storage is
      empty, so all three post counters sit at the expired count and the
@@ -671,7 +701,11 @@ let import lam s =
   t.phead <- s.snap_expired;
   t.ptotal <- s.snap_expired;
   t.pbase <- s.snap_expired;
-  List.iter (fun p -> push t p) s.snap_posts;
+  for i = 0 to n - 1 do
+    if s.snap_offsets.(i) > s.snap_offsets.(i + 1) then
+      invalid_arg "Window_index.import: inconsistent snapshot arrays";
+    push t (snapshot_post s i)
+  done;
   t.lastv <- s.snap_guard_value;
   t.lastid <- s.snap_guard_id;
   t.guarded <- s.snap_guarded;

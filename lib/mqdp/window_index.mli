@@ -169,19 +169,26 @@ val apply_pick :
 
 type snapshot = {
   snap_expired : int;  (** arrival number of the window head *)
-  snap_posts : Post.t list;  (** live posts, ascending *)
+  snap_ids : int array;  (** live post ids, ascending by arrival *)
+  snap_values : float array;  (** their values *)
+  snap_offsets : int array;
+      (** [size + 1] boundaries: post [i]'s labels are [snap_labels]
+          from [snap_offsets.(i)] to [snap_offsets.(i + 1) - 1] *)
+  snap_labels : int array;  (** every post's labels, ascending per post *)
   snap_guard_value : float;  (** last admitted (value, id), for the *)
   snap_guard_id : int;  (** ordering guard across empty windows *)
   snap_guarded : bool;  (** whether any post was ever admitted *)
 }
 
-(** [export t] captures the window's post content. Marks and emission
-    reaches are {e not} captured: {!Online} re-derives reaches from its
-    own snapshot on import, and the marked-pair consumer
+(** [export t] copies the window's post content into flat arrays: no
+    {!Post.t} is built, and the snapshot shares nothing mutable with [t].
+    Marks and emission reaches are {e not} captured: {!Online} re-derives
+    reaches from its own snapshot on import, and the marked-pair consumer
     ({!Stream_greedy}) is a batch simulation that never checkpoints. *)
 val export : t -> snapshot
 
 (** [import lambda s] rebuilds a window: re-pushes the live posts (so
     arrival numbers resume at [snap_expired]) and restores the ordering
-    guard. Raises [Invalid_argument] on posts out of order. *)
+    guard. Only reads [s]. Raises [Invalid_argument] on posts out of
+    order or inconsistent arrays. *)
 val import : Coverage.lambda -> snapshot -> t

@@ -106,17 +106,10 @@ module Journal = struct
   let version = 1
   let header kind = Printf.sprintf "mqdp-journal v%d %s\n" version kind
 
-  let fnv64 s =
-    let p = 0x100000001b3L and h = ref 0xcbf29ce484222325L in
-    String.iter
-      (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) p)
-      s;
-    !h
-
   let render payload =
     if String.contains payload '\n' then
       invalid_arg "Fs.Journal: payload contains newline";
-    Printf.sprintf "R %016Lx %s\n" (fnv64 payload) payload
+    Printf.sprintf "R %016Lx %s\n" (Hash.fnv1a64 payload) payload
 
   (* A record line parses iff it is exactly [render payload] for some
      payload: the "R " tag, 16 hex digits, one space, checksummed body,
@@ -132,7 +125,7 @@ module Journal = struct
     else
       let hex = String.sub line 2 16 in
       let payload = String.sub line 19 (n - 20) in
-      if Printf.sprintf "%016Lx" (fnv64 payload) = hex then Some payload
+      if Hash.hex64 (Hash.fnv1a64 payload) = hex then Some payload
       else None
 
   type t = { path : string; kind : string; mutable oc : out_channel option }

@@ -323,16 +323,6 @@ let test_window_is_transparent () =
   Alcotest.check emission_keys "windowed feed emits identically"
     (run_feed plain suffix_posts) (run_feed mirrored suffix_posts)
 
-(* Recompute the body checksum the way the codec does, so a test can
-   tamper with the version line while keeping the trailer honest. *)
-let fnv64 s =
-  let prime = 0x100000001B3L in
-  let h = ref 0xCBF29CE484222325L in
-  String.iter
-    (fun ch -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code ch))) prime)
-    s;
-  !h
-
 let with_version v image =
   match String.index_opt image '\n' with
   | None -> Alcotest.fail "checkpoint has no header line"
@@ -340,7 +330,7 @@ let with_version v image =
     let rest = String.sub image (i + 1) (String.length image - i - 1) in
     let body_end = String.rindex (String.trim rest) '\n' in
     let body = Printf.sprintf "mqdp-feed-checkpoint %s\n%s" v (String.sub rest 0 (body_end + 1)) in
-    Printf.sprintf "%schecksum %016Lx\n" body (fnv64 body)
+    Printf.sprintf "%schecksum %s\n" body (Util.Hash.hex64 (Util.Hash.fnv1a64 body))
 
 let test_version_mismatch_is_typed () =
   let image = Mqdp.Feed.checkpoint (busy_feed ()) in
@@ -479,6 +469,80 @@ let crash_restore_property =
           run [] = run crashes)
         [ delayed ~tau:1. (); delayed ~plus:true ~tau:1. (); Mqdp.Online.Instant ])
 
+(* ---------------------------------------------------------------- *)
+(* Typed snapshots                                                  *)
+
+(* A snapshot taken at post k must not see anything the feed does after
+   it: not later pushes into the live feed, and not a crash that rebuilds
+   a new feed from the same snapshot and pushes into that one. *)
+let test_snapshot_isolation () =
+  List.iter
+    (fun window ->
+      let feed = ref (busy_feed ~window ()) in
+      let snap = Mqdp.Feed.snapshot !feed in
+      let text = Mqdp.Feed.checkpoint !feed in
+      let fault = Util.Fault.create ~seed:5 () in
+      let crashes = Util.Fault.crash_points fault ~n:30 ~max_points:3 in
+      List.iteri
+        (fun i p ->
+          (* crash injection: the next incarnation is seeded from [snap] *)
+          if List.mem i crashes then feed := Mqdp.Feed.of_snapshot snap;
+          ignore (Mqdp.Feed.push !feed p))
+        (suffix_posts
+        @ List.init 26 (fun i -> mk (100 + i) (27. +. float_of_int i) [ i mod 4; 5 ]));
+      ignore (Mqdp.Feed.finish !feed);
+      Alcotest.(check bool) "live feed moved on" true (Mqdp.Feed.checkpoint !feed <> text);
+      Alcotest.(check string) "snapshot text unchanged" text (Mqdp.Feed.encode snap);
+      Alcotest.(check string) "rebuilt feed checkpoints the text captured at k" text
+        (Mqdp.Feed.checkpoint (Mqdp.Feed.of_snapshot snap)))
+    [ false; true ]
+
+(* Images written by an earlier build: old state directories must keep
+   loading, and re-serialise byte for byte. *)
+let golden name = Util.Fs.read (Filename.concat "golden" name)
+
+let test_golden_checkpoint () =
+  let image = golden "feed_v2.ckpt" in
+  Alcotest.(check string) "decode/encode" image
+    (Mqdp.Feed.encode (Mqdp.Feed.decode image));
+  Alcotest.(check string) "restore/checkpoint" image
+    (Mqdp.Feed.checkpoint (Mqdp.Feed.restore image));
+  Alcotest.(check bool) "window restored" true
+    (Option.is_some (Mqdp.Feed.window (Mqdp.Feed.restore image)))
+
+let gen_feed_case =
+  let open QCheck.Gen in
+  let* n = int_range 0 80 in
+  let* posts =
+    list_repeat n
+      (let* id = int_range 0 60 in
+       let* value = float_bound_exclusive 40. in
+       let* k = int_range 1 3 in
+       let* labels = list_repeat k (int_range 0 5) in
+       return (mk id value labels))
+  in
+  let* reorder_window = int_range 0 6 in
+  let* late = oneofl [ Mqdp.Feed.Drop; Mqdp.Feed.Clamp ] in
+  let* budget = oneofl [ None; Some 1; Some 2; Some 4 ] in
+  let* window = bool in
+  let* mode =
+    oneofl [ delayed ~tau:1.5 (); delayed ~plus:true ~tau:2.5 (); Mqdp.Online.Instant ]
+  in
+  return (posts, reorder_window, late, budget, window, mode)
+
+let snapshot_roundtrip_property =
+  QCheck.Test.make ~count:300 ~name:"checkpoint (of_snapshot (snapshot f)) = checkpoint f"
+    (QCheck.make gen_feed_case)
+    (fun (posts, reorder_window, late, overload_budget, window, mode) ->
+      let config =
+        { Mqdp.Feed.default_config with reorder_window; late; overload_budget }
+      in
+      let feed = Mqdp.Feed.create ~config ~window ~lambda:2. mode in
+      List.iter (fun p -> ignore (Mqdp.Feed.push feed p)) posts;
+      let copy = Mqdp.Feed.of_snapshot (Mqdp.Feed.snapshot feed) in
+      Mqdp.Feed.checkpoint copy = Mqdp.Feed.checkpoint feed
+      && run_feed copy suffix_posts = run_feed feed suffix_posts)
+
 let suite =
   [
     Alcotest.test_case "transparent on a sorted stream" `Quick
@@ -503,6 +567,9 @@ let suite =
       test_checkpoint_detects_corruption;
     Alcotest.test_case "checkpoint file roundtrip" `Quick
       test_checkpoint_file_roundtrip;
+    Alcotest.test_case "snapshot is isolated from its feed" `Quick test_snapshot_isolation;
+    Alcotest.test_case "golden v2 checkpoint re-serialises" `Quick test_golden_checkpoint;
+    QCheck_alcotest.to_alcotest snapshot_roundtrip_property;
     Alcotest.test_case "atomic save survives torn writes" `Quick
       test_atomic_save_survives_torn_writes;
     crash_restore_property;

@@ -520,6 +520,99 @@ let serve_replay_equiv =
   in
   List.for_all2 (List.equal String.equal) baseline crashed
 
+(* --- Typed checkpoints ---------------------------------------------- *)
+
+let ckpt_line blob =
+  match List.find_opt (String.starts_with ~prefix:"ckpt ") (String.split_on_char '\n' blob) with
+  | Some l -> l
+  | None -> Alcotest.fail "blob has no ckpt line"
+
+(* A crash between checkpoints rebuilds the feed from the in-memory
+   snapshot and replays the journal into it; none of that may leak back
+   into the snapshot, and the reports must match a run that never
+   crashed. *)
+let test_profile_checkpoint_survives_crash () =
+  let config =
+    { Mqdp.Profile.default_config with lambda = 2.;
+      mode = Mqdp.Online.Delayed { tau = 3.; plus = true }; checkpoint_every = 0 }
+  in
+  let offer_range p lo hi =
+    for i = lo to hi do
+      Mqdp.Profile.offer p (post ~id:i ~value:(0.7 *. float_of_int i) [ 1 + (i mod 2); 2 ])
+    done
+  in
+  let crashed = profile "frank" ~config and twin = profile "frank" ~config in
+  List.iter
+    (fun p ->
+      offer_range p 1 20;
+      ignore (Mqdp.Profile.process p);
+      Mqdp.Profile.checkpoint_now p)
+    [ crashed; twin ];
+  let at_k = ckpt_line (Mqdp.Profile.blob crashed) in
+  List.iter (fun p -> offer_range p 21 45) [ crashed; twin ];
+  let calls = ref 0 in
+  let chaos () =
+    incr calls;
+    if !calls = 3 || !calls = 17 then raise Boom
+  in
+  ignore (Mqdp.Profile.process ~chaos crashed);
+  ignore (Mqdp.Profile.process twin);
+  Alcotest.(check int) "two crashes recovered" 2 (Mqdp.Profile.crashes crashed);
+  Alcotest.(check string) "checkpoint untouched by the crashes" at_k
+    (ckpt_line (Mqdp.Profile.blob crashed));
+  let ids p =
+    Mqdp.Profile.drain p;
+    List.map
+      (fun (seq, e) -> (seq, e.Mqdp.Online.post.Mqdp.Post.id))
+      (Mqdp.Profile.take_report p)
+  in
+  Alcotest.(check (list (pair int int))) "reports match a crash-free run" (ids twin)
+    (ids crashed)
+
+let test_golden_shard_snapshot () =
+  let image = Util.Fs.read (Filename.concat "golden" "shard_v1.snap") in
+  Alcotest.(check string) "restore/snapshot" image
+    (Mqdp.Shard.snapshot (Mqdp.Shard.restore image));
+  let engine = Mqdp.Serve.create { Mqdp.Serve.default_config with shards = 1 } in
+  Mqdp.Serve.load_shard engine 0 image;
+  Alcotest.(check string) "load_shard/shard_snapshot" image
+    (Mqdp.Serve.shard_snapshot engine 0);
+  Mqdp.Serve.shutdown engine
+
+(* The recovery checkpoint must cost the same however long the profile
+   has run: nothing in it may be proportional to the admitted history. *)
+let test_checkpoint_cost_is_flat () =
+  let config =
+    { Mqdp.Profile.default_config with mode = Mqdp.Online.Instant; window = false;
+      checkpoint_every = 0 }
+  in
+  let p = profile "grace" ~config ~labels:[ 0; 1 ] in
+  let next = ref 0 in
+  let feed_to n =
+    while !next < n do
+      incr next;
+      Mqdp.Profile.offer p (post ~id:!next ~value:(float_of_int !next) [ !next mod 2 ])
+    done;
+    ignore (Mqdp.Profile.process p)
+  in
+  let words () =
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let w0 = Gc.minor_words () in
+      Mqdp.Profile.checkpoint_now p;
+      best := Float.min !best (Gc.minor_words () -. w0)
+    done;
+    !best
+  in
+  feed_to 100;
+  let small = words () in
+  feed_to 10_000;
+  let large = words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words after 10000 posts <= 2 x %.0f after 100" large small)
+    true
+    (large <= 2. *. small)
+
 let suite =
   [
     Alcotest.test_case "profile offers, processes, reports" `Quick
@@ -556,4 +649,10 @@ let suite =
     Alcotest.test_case "compaction crash leaves the journal usable" `Quick
       test_serve_compaction_crash;
     serve_replay_equiv;
+    Alcotest.test_case "profile checkpoint survives crashes unchanged" `Quick
+      test_profile_checkpoint_survives_crash;
+    Alcotest.test_case "golden shard snapshot re-serialises" `Quick
+      test_golden_shard_snapshot;
+    Alcotest.test_case "checkpoint cost is flat in stream age" `Quick
+      test_checkpoint_cost_is_flat;
   ]

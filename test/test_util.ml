@@ -910,6 +910,30 @@ let test_stats_nan_rejected () =
   Alcotest.(check (float 0.)) "p0 is the minimum" (-5.) (Util.Stats.percentile 0. xs);
   Alcotest.(check (float 0.)) "p100 is the maximum" 3. (Util.Stats.percentile 100. xs)
 
+(* FNV-1a-64: the published test vectors, and the textbook Int64 loop as
+   the reference on random strings (every length, every byte value). *)
+let fnv1a64_reference s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
+
+let test_fnv1a64_vectors () =
+  List.iter
+    (fun (s, hex) ->
+      Alcotest.(check string) (Printf.sprintf "fnv1a64 %S" s) hex
+        (Util.Hash.hex64 (Util.Hash.fnv1a64 s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
+let fnv1a64_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"fnv1a64 and hex64 match the Int64 reference"
+    QCheck.(string_gen Gen.char)
+    (fun s ->
+      let h = Util.Hash.fnv1a64 s in
+      Int64.equal h (fnv1a64_reference s)
+      && Util.Hash.hex64 h = Printf.sprintf "%016Lx" h)
+
 let suite =
   [
     Alcotest.test_case "heap basics" `Quick test_heap_basic;
@@ -921,6 +945,8 @@ let suite =
     Alcotest.test_case "stats reject NaN" `Quick test_stats_nan_rejected;
     heap_sort_is_sort;
     heap_push_pop;
+    Alcotest.test_case "fnv1a64 test vectors" `Quick test_fnv1a64_vectors;
+    QCheck_alcotest.to_alcotest fnv1a64_matches_reference;
     Alcotest.test_case "bucket queue basics" `Quick test_bucket_basic;
     Alcotest.test_case "bucket queue update/remove" `Quick test_bucket_update_remove;
     bucket_matches_model;

@@ -43,14 +43,12 @@ type counters = {
   shed : int;
 }
 
-module Ids = Set.Make (Int)
-
 type t = {
   cfg : config;
   engine : Online.t;
-  buffer : Post.t Util.Heap.t;  (* staged posts, min by (value, id) *)
-  mutable seen : Ids.t;  (* ids ever admitted; persistent, so a snapshot
-                            captures it by reference *)
+  buffer : Staging.t;  (* staged posts, ascending by (value, id) *)
+  seen : Util.Id_log.t;  (* ids ever admitted; append-only, so a snapshot
+                            freezes it in O(1) *)
   mutable watermark : float;  (* newest value released to the engine *)
   mutable high : float;  (* newest value ever admitted (reorder signal) *)
   mutable c_accepted : int;
@@ -92,12 +90,12 @@ let validate_config cfg =
   | Some b when b < 1 -> invalid_arg "Feed.create: overload_budget < 1"
   | Some _ | None -> ()
 
-let make cfg engine =
+let make ?(seen = Util.Id_log.create ()) cfg engine =
   {
     cfg;
     engine;
-    buffer = Util.Heap.create Post.compare_by_value;
-    seen = Ids.empty;
+    buffer = Staging.create ();
+    seen;
     watermark = neg_infinity;
     high = neg_infinity;
     c_accepted = 0;
@@ -136,7 +134,7 @@ let counters t =
 
 let config t = t.cfg
 let engine t = t.engine
-let buffered t = Util.Heap.length t.buffer
+let buffered t = Staging.length t.buffer
 let watermark t = if t.watermark = neg_infinity then None else Some t.watermark
 
 let reject t ~id what =
@@ -175,14 +173,11 @@ let release t post =
 
 let drain_over t limit =
   let rec loop acc =
-    if Util.Heap.length t.buffer <= limit then acc
-    else
-      match Util.Heap.pop t.buffer with
-      | None -> acc
-      | Some p -> loop (acc @ release t p)
+    if Staging.length t.buffer <= limit then acc
+    else loop (acc @ release t (Staging.pop t.buffer))
   in
   let acc = loop [] in
-  Util.Telemetry.set m_buffer_depth (Util.Heap.length t.buffer);
+  Util.Telemetry.set m_buffer_depth (Staging.length t.buffer);
   shed_overload t acc
 
 let push t post =
@@ -207,7 +202,7 @@ let push t post =
     end
   in
   (* 2. Duplicates: an id the frontend already admitted. *)
-  if Ids.mem id t.seen then begin
+  if Util.Id_log.mem t.seen id then begin
     match t.cfg.duplicate with
     | Raise -> reject t ~id "duplicate id"
     | Drop | Clamp ->
@@ -234,7 +229,7 @@ let push t post =
         ({ post with Post.value = t.watermark }, t.watermark)
     end
   in
-  t.seen <- Ids.add id t.seen;
+  Util.Id_log.add t.seen id;
   t.c_accepted <- t.c_accepted + 1;
   Util.Telemetry.incr m_accepted;
   if value < t.high then begin
@@ -242,8 +237,8 @@ let push t post =
     Util.Telemetry.incr m_reordered
   end
   else t.high <- value;
-  Util.Heap.push t.buffer post;
-  Util.Telemetry.set m_buffer_depth (Util.Heap.length t.buffer);
+  Staging.push t.buffer post;
+  Util.Telemetry.set m_buffer_depth (Staging.length t.buffer);
   (post, drain_over t t.cfg.reorder_window)
 
 type outcome = { admitted : Post.t option; emissions : Online.emission list }
@@ -259,18 +254,19 @@ let finish t =
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: the complete frontend + engine state as immutable data.
-   The admitted-id and emitted-id sets are persistent and the pending
-   lists immutable, so they are captured by reference; the staged posts
-   (at most [reorder_window]) become a sorted list and the window a flat
-   array copy. Taking one therefore costs O(window + labels + staged),
-   independent of how long the stream has run.                          *)
+   The admitted-id and emitted-id sets are append-only logs frozen in
+   O(1) and the pending lists immutable, so they are captured by
+   reference; the staged posts (at most [reorder_window]) become a sorted
+   list and the window a flat array copy. Taking one therefore costs
+   O(window + labels + staged), independent of how long the stream has
+   run. Rebuilding a feed thaws the two logs: O(admitted + emitted ids). *)
 
 type snapshot = {
   s_cfg : config;
   s_counters : counters;
   s_watermark : float;
   s_high : float;
-  s_seen : Ids.t;
+  s_seen : Util.Id_log.frozen;
   s_staged : Post.t list;  (* ascending by (value, id) *)
   s_engine : Online.snapshot;
   s_window : Window_index.snapshot option;
@@ -282,8 +278,8 @@ let snapshot t =
     s_counters = counters t;
     s_watermark = t.watermark;
     s_high = t.high;
-    s_seen = t.seen;
-    s_staged = List.sort Post.compare_by_value (Util.Heap.to_list t.buffer);
+    s_seen = Util.Id_log.freeze t.seen;
+    s_staged = Staging.to_list t.buffer;
     s_engine = Online.export t.engine;
     s_window = Option.map Window_index.export (Online.window t.engine);
   }
@@ -299,12 +295,11 @@ let of_snapshot s =
       Online.import ?window s.s_engine
     with Invalid_argument m -> raise (Corrupt m)
   in
-  let t = make s.s_cfg engine in
+  let t = make ~seen:(Util.Id_log.thaw s.s_seen) s.s_cfg engine in
   let c = s.s_counters in
   t.watermark <- s.s_watermark;
   t.high <- s.s_high;
-  t.seen <- s.s_seen;
-  List.iter (Util.Heap.push t.buffer) s.s_staged;
+  List.iter (Staging.push t.buffer) s.s_staged;
   t.c_accepted <- c.accepted;
   t.c_released <- c.released;
   t.c_reordered <- c.reordered;
@@ -399,7 +394,8 @@ let encode s =
   chr ' ';
   add_float b s.s_high;
   chr '\n';
-  add_id_line b "seen" (Ids.cardinal s.s_seen) (fun f -> Ids.iter f s.s_seen);
+  add_id_line b "seen" (Util.Id_log.frozen_cardinal s.s_seen) (fun f ->
+      Util.Id_log.iter_ascending f s.s_seen);
   str "buffer ";
   add_int b (List.length s.s_staged);
   chr '\n';
@@ -416,8 +412,8 @@ let encode s =
   str "\nlast ";
   (match e.Online.snap_last_time with None -> str "none" | Some v -> add_float b v);
   chr '\n';
-  add_id_line b "emitted" (Ids.cardinal e.Online.snap_emitted) (fun f ->
-      Ids.iter f e.Online.snap_emitted);
+  add_id_line b "emitted" (Util.Id_log.frozen_cardinal e.Online.snap_emitted) (fun f ->
+      Util.Id_log.iter_ascending f e.Online.snap_emitted);
   add_id_line b "degraded" (List.length e.Online.snap_degraded) (fun f ->
       List.iter f e.Online.snap_degraded);
   str "labels ";
@@ -660,14 +656,14 @@ let decode text =
     s_counters = { counters with degraded_labels = List.length degraded };
     s_watermark = watermark;
     s_high = high;
-    s_seen = Ids.of_list seen;
+    s_seen = Util.Id_log.of_list seen;
     s_staged = staged;
     s_engine =
       {
         Online.snap_lambda = lambda;
         snap_mode = mode;
         snap_last_time = last_time;
-        snap_emitted = Ids.of_list emitted;
+        snap_emitted = Util.Id_log.of_list emitted;
         snap_degraded = degraded;
         snap_labels;
       };

@@ -4,9 +4,10 @@
     finite timestamps, and a process that never dies. Real microblog
     traffic offers none of that. [Feed] sits in front and provides:
 
-    - a bounded {e reorder buffer}: arrivals are staged in a min-heap of
-      at most [reorder_window] posts and released to the engine in time
-      order, so disorder up to the window depth is absorbed silently;
+    - a bounded {e reorder buffer}: arrivals are staged in a sorted ring
+      ({!Staging}) of at most [reorder_window] posts and released to the
+      engine in time order, so disorder up to the window depth is absorbed
+      silently;
     - per-class {e fault policies}: arrivals that are late (older than the
       release watermark even after buffering), duplicates (an id already
       admitted), or carry a non-finite timestamp are dropped, clamped to
@@ -127,13 +128,15 @@ val watermark : t -> float option
 
     A {!snapshot} is the complete frontend and engine state as immutable
     data. It shares nothing mutable with the feed it came from: the
-    admitted-id and emitted-id sets are persistent and captured by
-    reference, the staged posts and pending lists are immutable lists,
-    and the window is a flat array copy. So {!snapshot} costs
-    O(window + labels + staged) however long the stream has run, and a
-    snapshot stays valid while its feed moves on. [of_snapshot
-    (snapshot t)] is observationally identical to [t]: pushing the same
-    remaining stream produces bit-identical emissions.
+    admitted-id and emitted-id sets are append-only logs frozen in O(1)
+    ({!Util.Id_log.freeze}), the staged posts and pending lists are
+    immutable lists, and the window is a flat array copy. So {!snapshot}
+    costs O(window + labels + staged) however long the stream has run,
+    and a snapshot stays valid while its feed moves on. {!of_snapshot}
+    thaws the two logs, adding O(admitted + emitted ids); it runs only on
+    recovery and restore. [of_snapshot (snapshot t)] is observationally
+    identical to [t]: pushing the same remaining stream produces
+    bit-identical emissions.
 
     Text exists only where bytes leave the process: {!encode} /
     {!checkpoint} write a line-oriented format with a magic+version

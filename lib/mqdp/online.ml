@@ -12,20 +12,23 @@ type label_state = {
   mutable oldest : Post.t option;
   mutable last_out : Post.t option;  (* latest post output for this label *)
   mutable deadline : float;  (* infinity when nothing pending *)
+  mutable degraded : bool;  (* demoted to instant handling *)
 }
-
-module Ids = Set.Make (Int)
 
 type t = {
   lambda : float;
   lam : Coverage.lambda;  (* [Fixed lambda], for the shared geometry helpers *)
   mode : mode;
-  states : (Label.t, label_state) Hashtbl.t;
+  (* Label states, dense and scanned linearly: a profile carries a few
+     labels. [labels.(i)] owns [states.(i)] for [i < n_states]. *)
+  mutable labels : Label.t array;
+  mutable states : label_state array;
+  mutable n_states : int;
   mutable heap : (float * Label.t) Util.Heap.t;
-  mutable emitted : Ids.t;  (* distinct emitted post ids; persistent, so
-                                a snapshot captures it by reference *)
+  emitted : Util.Id_log.t;  (* distinct emitted post ids; append-only, so
+                               a snapshot freezes it in O(1) *)
   mutable last_time : float option;
-  degraded : (Label.t, unit) Hashtbl.t;  (* labels demoted to instant handling *)
+  mutable n_degraded : int;  (* labels demoted to instant handling *)
   mutable live_pending : int;  (* labels with a non-empty pending list *)
   window : Window_index.t option;  (* mirrored sliding window, when attached *)
 }
@@ -40,7 +43,7 @@ type snapshot = {
   snap_lambda : float;
   snap_mode : mode;
   snap_last_time : float option;
-  snap_emitted : Ids.t;
+  snap_emitted : Util.Id_log.frozen;
   snap_degraded : Label.t list;  (* ascending *)
   snap_labels : label_snapshot list;  (* ascending by label *)
 }
@@ -67,11 +70,13 @@ let create ?window ~lambda mode =
     lambda;
     lam = Coverage.Fixed lambda;
     mode;
-    states = Hashtbl.create 16;
+    labels = [||];
+    states = [||];
+    n_states = 0;
     heap = Util.Heap.create heap_cmp;
-    emitted = Ids.empty;
+    emitted = Util.Id_log.create ();
     last_time = None;
-    degraded = Hashtbl.create 4;
+    n_degraded = 0;
     live_pending = 0;
     window;
   }
@@ -96,13 +101,30 @@ let set_pending t st p =
   Util.Telemetry.set m_pending_labels t.live_pending;
   st.pending <- p
 
+let rec find_index labels n a i =
+  if i = n then -1 else if labels.(i) = a then i else find_index labels n a (i + 1)
+
 let state t a =
-  match Hashtbl.find_opt t.states a with
-  | Some st -> st
-  | None ->
-    let st = { pending = []; oldest = None; last_out = None; deadline = infinity } in
-    Hashtbl.add t.states a st;
+  let i = find_index t.labels t.n_states a 0 in
+  if i >= 0 then t.states.(i)
+  else begin
+    let st =
+      { pending = []; oldest = None; last_out = None; deadline = infinity; degraded = false }
+    in
+    let n = t.n_states in
+    if n = Array.length t.labels then begin
+      let cap = max 4 (2 * n) in
+      let labels = Array.make cap a and states = Array.make cap st in
+      Array.blit t.labels 0 labels 0 n;
+      Array.blit t.states 0 states 0 n;
+      t.labels <- labels;
+      t.states <- states
+    end;
+    t.labels.(n) <- a;
+    t.states.(n) <- st;
+    t.n_states <- n + 1;
     st
+  end
 
 let tau_of t =
   match t.mode with
@@ -124,23 +146,22 @@ let compact_slack = 8
 
 let compact t =
   Util.Telemetry.incr m_compactions;
-  let live =
-    Hashtbl.fold
-      (fun a st acc -> if st.deadline < infinity then (st.deadline, a) :: acc else acc)
-      t.states []
-  in
-  t.heap <- Util.Heap.of_list heap_cmp live;
+  let live = ref [] in
+  for i = 0 to t.n_states - 1 do
+    let st = t.states.(i) in
+    if st.deadline < infinity then live := (st.deadline, t.labels.(i)) :: !live
+  done;
+  t.heap <- Util.Heap.of_list heap_cmp !live;
   Util.Telemetry.set m_deadline_queue (Util.Heap.length t.heap)
 
 let push_deadline t a d =
   Util.Telemetry.incr m_heap_pushes;
   Util.Heap.push t.heap (d, a);
   Util.Telemetry.set m_deadline_queue (Util.Heap.length t.heap);
-  if Util.Heap.length t.heap > (2 * Hashtbl.length t.states) + compact_slack then
+  if Util.Heap.length t.heap > (2 * t.n_states) + compact_slack then
     compact t
 
-let refresh_deadline t a =
-  let st = state t a in
+let refresh_deadline t a st =
   let d =
     match (st.pending, st.oldest) with
     | [], _ | _, None -> infinity
@@ -153,12 +174,12 @@ let refresh_deadline t a =
   end
 
 let record_emission t out post emit_time =
-  t.emitted <- Ids.add post.Post.id t.emitted;
+  Util.Id_log.add t.emitted post.Post.id;
   out := { post; emit_time } :: !out
 
 (* The two coverage primitives the engine shares with the window mirror.
 
-   [label_reach t a] is the right extent of the latest output serving
+   [label_reach t a st] is the right extent of the latest output serving
    label [a] (neg_infinity before any): the old-arrival coverage test
    [value <= reach last_out] in one float read. When a window is attached
    the float lives in its per-label reach table — assigned, never maxed,
@@ -169,11 +190,11 @@ let record_emission t out post emit_time =
    [set_last_out t a st p] is the single place a label's last output is
    assigned, keeping the mirror exact at every site (fire, plus-credit,
    instant arrival, degradation, import). *)
-let label_reach t a =
+let label_reach t a st =
   match t.window with
   | Some w -> Window_index.emit_reach w a
   | None -> (
-    match (state t a).last_out with
+    match st.last_out with
     | Some z -> Coverage.reach t.lam z a
     | None -> neg_infinity)
 
@@ -202,7 +223,7 @@ let credit_emission t post =
         (match List.rev remaining with
         | [] -> st.oldest <- None
         | oldest :: _ -> st.oldest <- Some oldest);
-        refresh_deadline t b
+        refresh_deadline t b st
       end)
     post.Post.labels
 
@@ -253,9 +274,11 @@ let sort_emissions emissions =
    credited to every label the post carries, pruning pending work. *)
 let arrival_delayed t out post =
   let degraded_uncovered =
-    Hashtbl.length t.degraded > 0
+    t.n_degraded > 0
     && Label_set.exists
-         (fun a -> Hashtbl.mem t.degraded a && post.Post.value > label_reach t a)
+         (fun a ->
+           let st = state t a in
+           st.degraded && post.Post.value > label_reach t a st)
          post.Post.labels
   in
   if degraded_uncovered then begin
@@ -266,18 +289,17 @@ let arrival_delayed t out post =
     Label_set.iter
       (fun a ->
         let st = state t a in
-        let covered = post.Post.value <= label_reach t a in
-        if not covered then begin
+        if post.Post.value > label_reach t a st then begin
           if st.pending = [] then st.oldest <- Some post;
           set_pending t st (post :: st.pending);
-          refresh_deadline t a
+          refresh_deadline t a st
         end)
       post.Post.labels
 
 let arrival_instant t out post =
   let covered =
     Label_set.for_all
-      (fun a -> post.Post.value <= label_reach t a)
+      (fun a -> post.Post.value <= label_reach t a (state t a))
       post.Post.labels
   in
   if not covered then begin
@@ -322,7 +344,7 @@ let finish t =
   fire_due t out ~until:infinity ~inclusive:true;
   sort_emissions (List.rev !out)
 
-let emitted_count t = Ids.cardinal t.emitted
+let emitted_count t = Util.Id_log.cardinal t.emitted
 
 let deadline_queue_length t = Util.Heap.length t.heap
 
@@ -330,9 +352,17 @@ let pending_labels t = t.live_pending
 
 let last_arrival t = t.last_time
 
-let is_degraded t a = Hashtbl.mem t.degraded a
+let is_degraded t a =
+  let i = find_index t.labels t.n_states a 0 in
+  i >= 0 && t.states.(i).degraded
 
-let degraded_count t = Hashtbl.length t.degraded
+let degraded_count t = t.n_degraded
+
+let set_degraded t st =
+  if not st.degraded then begin
+    st.degraded <- true;
+    t.n_degraded <- t.n_degraded + 1
+  end
 
 (* Demote the label with the earliest live deadline to instant handling.
    Its latest pending post is emitted right away — legal, because [now] can
@@ -354,7 +384,7 @@ let degrade_earliest t ~now =
   match pick () with
   | None -> None
   | Some (a, st) ->
-    Hashtbl.replace t.degraded a ();
+    set_degraded t st;
     (match st.pending with
     | [] -> assert false
     | latest :: rest ->
@@ -369,24 +399,21 @@ let degrade_earliest t ~now =
       Some (a, List.length rest, sort_emissions (List.rev !out)))
 
 let export t =
-  let snap_labels =
-    Hashtbl.fold
-      (fun a st acc ->
-        if st.pending = [] && st.last_out = None then acc
-        else
-          { snap_label = a; snap_pending = st.pending; snap_last_out = st.last_out }
-          :: acc)
-      t.states []
-    |> List.sort (fun x y -> Int.compare x.snap_label y.snap_label)
-  in
+  let labels = ref [] and degraded = ref [] in
+  for i = 0 to t.n_states - 1 do
+    let a = t.labels.(i) and st = t.states.(i) in
+    if st.degraded then degraded := a :: !degraded;
+    if st.pending <> [] || st.last_out <> None then
+      labels :=
+        { snap_label = a; snap_pending = st.pending; snap_last_out = st.last_out } :: !labels
+  done;
   {
     snap_lambda = t.lambda;
     snap_mode = t.mode;
     snap_last_time = t.last_time;
-    snap_emitted = t.emitted;
-    snap_degraded =
-      Hashtbl.fold (fun a () acc -> a :: acc) t.degraded [] |> List.sort Int.compare;
-    snap_labels;
+    snap_emitted = Util.Id_log.freeze t.emitted;
+    snap_degraded = List.sort Int.compare !degraded;
+    snap_labels = List.sort (fun x y -> Int.compare x.snap_label y.snap_label) !labels;
   }
 
 let import ?window s =
@@ -406,9 +433,13 @@ let import ?window s =
       | (p :: _), None -> ignore p; invalid_arg "Online.import: pending posts without arrivals"
       | _ -> ()))
     s.snap_labels;
-  let t = create ?window ~lambda:s.snap_lambda s.snap_mode in
-  t.emitted <- s.snap_emitted;
-  List.iter (fun a -> Hashtbl.replace t.degraded a ()) s.snap_degraded;
+  let t =
+    {
+      (create ?window ~lambda:s.snap_lambda s.snap_mode) with
+      emitted = Util.Id_log.thaw s.snap_emitted;
+    }
+  in
+  List.iter (fun a -> set_degraded t (state t a)) s.snap_degraded;
   List.iter
     (fun ls ->
       let st = state t ls.snap_label in
@@ -421,7 +452,7 @@ let import ?window s =
       (match List.rev ls.snap_pending with
       | [] -> st.oldest <- None
       | oldest :: _ -> st.oldest <- Some oldest);
-      refresh_deadline t ls.snap_label)
+      refresh_deadline t ls.snap_label st)
     s.snap_labels;
   t.last_time <- s.snap_last_time;
   t

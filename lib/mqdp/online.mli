@@ -102,10 +102,11 @@ val degraded_count : t -> int
     A snapshot captures the engine's complete observable state; feeding
     the same suffix of a stream to [import (export t)] yields emissions
     bit-identical to continuing with [t] itself. Snapshots are immutable
-    data that share no mutable state with the engine (the emitted-id set
-    and the pending lists are persistent and captured by reference), so
-    [export] costs O(labels), and a frontend (see {!Feed}) can keep one
-    as a recovery point or serialize it however it likes. *)
+    data that share no mutable state with the engine (the emitted-id log
+    is frozen in O(1) and the pending lists are immutable, both captured
+    by reference), so [export] costs O(labels), and a frontend (see
+    {!Feed}) can keep one as a recovery point or serialize it however it
+    likes. [import] thaws the emitted-id log, O(emitted ids). *)
 
 type label_snapshot = {
   snap_label : Label.t;
@@ -117,7 +118,7 @@ type snapshot = {
   snap_lambda : float;
   snap_mode : mode;
   snap_last_time : float option;
-  snap_emitted : Set.Make(Int).t;  (** distinct emitted post ids *)
+  snap_emitted : Util.Id_log.frozen;  (** distinct emitted post ids *)
   snap_degraded : Label.t list;  (** demoted labels, ascending *)
   snap_labels : label_snapshot list;  (** ascending by label *)
 }

@@ -12,7 +12,7 @@ type counters = {
 type t = {
   config : config;
   table : (string, Profile.t) Hashtbl.t;
-  mutable order : string list;  (* sorted names; rebuilt when dirty *)
+  mutable order : Profile.t list;  (* sorted by name; rebuilt when dirty *)
   mutable order_dirty : bool;
   mutable backlog : int;
   mutable acked : int;
@@ -43,7 +43,7 @@ let add t profile =
   if Hashtbl.mem t.table name then
     invalid_arg (Printf.sprintf "Shard.add: duplicate profile %S" name);
   Hashtbl.add t.table name profile;
-  t.order <- name :: t.order;
+  t.order <- profile :: t.order;
   t.order_dirty <- true;
   t.backlog <- t.backlog + Profile.pending profile
 
@@ -52,22 +52,20 @@ let remove t name =
   | None -> false
   | Some profile ->
     Hashtbl.remove t.table name;
-    t.order <- List.filter (fun n -> n <> name) t.order;
+    t.order <- List.filter (fun p -> p != profile) t.order;
     t.backlog <- t.backlog - Profile.pending profile;
     true
 
 let find t name = Hashtbl.find_opt t.table name
 let profile_count t = Hashtbl.length t.table
 
-let sorted_order t =
+let profiles t =
   if t.order_dirty then begin
-    t.order <- List.sort String.compare t.order;
+    t.order <-
+      List.sort (fun p q -> String.compare (Profile.name p) (Profile.name q)) t.order;
     t.order_dirty <- false
   end;
   t.order
-
-let profiles t =
-  List.map (fun name -> Hashtbl.find t.table name) (sorted_order t)
 
 let backlog t = t.backlog
 let counters t = { acked = t.acked; shed = t.shed; applied = t.applied }
@@ -100,18 +98,15 @@ let tick ?chaos ?deadline t =
   let applied = ref 0 in
   let rec walk = function
     | [] -> ()
-    | name :: rest ->
-      (match Hashtbl.find_opt t.table name with
-      | None -> ()
-      | Some profile ->
-        if not (Profile.quarantined profile) then begin
-          let n = Profile.process ?chaos ~budget profile in
-          applied := !applied + n;
-          t.backlog <- t.backlog - n
-        end);
+    | profile :: rest ->
+      if not (Profile.quarantined profile) then begin
+        let n = Profile.process ?chaos ~budget profile in
+        applied := !applied + n;
+        t.backlog <- t.backlog - n
+      end;
       if not (Util.Budget.should_stop budget) then walk rest
   in
-  walk (sorted_order t);
+  walk (profiles t);
   t.applied <- t.applied + !applied;
   !applied
 

@@ -88,5 +88,3 @@ let drain h =
     | Some x -> loop (x :: acc)
   in
   loop []
-
-let to_list h = Array.to_list (Array.sub h.data 0 h.size)

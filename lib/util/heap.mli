@@ -31,6 +31,3 @@ val pop_exn : 'a t -> 'a
 
 (** [drain h] pops every element, returning them in ascending order. *)
 val drain : 'a t -> 'a list
-
-(** [to_list h] is the heap contents in unspecified order (heap unchanged). *)
-val to_list : 'a t -> 'a list

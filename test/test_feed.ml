@@ -543,6 +543,71 @@ let snapshot_roundtrip_property =
       Mqdp.Feed.checkpoint copy = Mqdp.Feed.checkpoint feed
       && run_feed copy suffix_posts = run_feed feed suffix_posts)
 
+(* ---------------------------------------------------------------- *)
+(* Per-post cost                                                    *)
+
+(* The staging ring releases exactly what a (value, id) min-heap would:
+   out-of-order arrivals with ties on value, unique ids, popped whenever
+   more than [depth] posts are staged. *)
+let staging_matches_heap =
+  qtest ~count:300 "staging ring releases in Util.Heap order"
+    (QCheck.make
+       ~print:(fun (depth, vs) ->
+         Printf.sprintf "depth=%d values=[%s]" depth
+           (String.concat ";" (List.map string_of_int vs)))
+       QCheck.Gen.(pair (int_range 0 12) (list_size (int_range 0 200) (int_range 0 15))))
+    (fun (depth, values) ->
+      let ring = Mqdp.Staging.create () in
+      let heap = Util.Heap.create Mqdp.Post.compare_by_value in
+      (* ids descend while values wander, so ties on value are broken
+         against arrival order *)
+      let n = List.length values in
+      let ok = ref true in
+      List.iteri
+        (fun i v ->
+          let p = mk (n - i) (float_of_int v) [ 0 ] in
+          Mqdp.Staging.push ring p;
+          Util.Heap.push heap p;
+          while Mqdp.Staging.length ring > depth do
+            let a = Mqdp.Staging.pop ring and b = Util.Heap.pop_exn heap in
+            if a != b then ok := false
+          done)
+        values;
+      !ok
+      && Mqdp.Staging.length ring = Util.Heap.length heap
+      && Mqdp.Staging.to_list ring = Util.Heap.drain heap)
+
+(* A windowless in-order push costs the same however long the stream has
+   run: no per-post structure may grow with the admitted history. *)
+let test_push_allocation_is_flat () =
+  let feed = Mqdp.Feed.create ~lambda:5. (delayed ~tau:3. ()) in
+  let next = ref 0 in
+  let push () =
+    incr next;
+    ignore (Mqdp.Feed.push feed (mk !next (float_of_int !next) [ !next mod 3 ]))
+  in
+  let words_per_push () =
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 64 do
+        push ()
+      done;
+      best := Float.min !best ((Gc.minor_words () -. w0) /. 64.)
+    done;
+    !best
+  in
+  let feed_to n = while !next < n do push () done in
+  feed_to 100;
+  let young = words_per_push () in
+  feed_to 10_000;
+  let old = words_per_push () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per push at age 10000 <= 1.1 x %.1f at age 100" old
+       young)
+    true
+    (old <= 1.1 *. young)
+
 let suite =
   [
     Alcotest.test_case "transparent on a sorted stream" `Quick
@@ -573,4 +638,7 @@ let suite =
     Alcotest.test_case "atomic save survives torn writes" `Quick
       test_atomic_save_survives_torn_writes;
     crash_restore_property;
+    staging_matches_heap;
+    Alcotest.test_case "push allocation is flat in stream age" `Quick
+      test_push_allocation_is_flat;
   ]

@@ -31,6 +31,76 @@ let heap_push_pop =
       List.iter (Util.Heap.push h) xs;
       Util.Heap.drain h = List.sort Int.compare xs)
 
+(* Id_log against a Set.Make(Int) model: membership, cardinality and
+   ascending iteration, over ids that include min_int (the index's empty
+   mark), negatives and repeats. A frozen view must not see later adds,
+   adds into a thawed copy, or the growth copies either one makes. *)
+module Int_set = Set.Make (Int)
+
+let gen_id =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-40) 40);
+        (2, int);
+        (1, oneofl [ min_int; max_int; min_int + 1; 0; -1 ]);
+      ])
+
+let id_log_matches_set =
+  Helpers.qtest ~count:300 "Id_log = Set.Make(Int), frozen views are stable"
+    (QCheck.make
+       ~print:(fun (sorted, k, xs, ys) ->
+         Printf.sprintf "sorted=%b k=%d xs=[%s] ys=[%s]" sorted k
+           (String.concat ";" (List.map string_of_int xs))
+           (String.concat ";" (List.map string_of_int ys)))
+       QCheck.Gen.(
+         let* sorted = bool in
+         let* xs = list_size (int_range 0 300) gen_id in
+         let* ys = list_size (int_range 0 100) gen_id in
+         let* k = int_range 0 (List.length xs) in
+         return (sorted, k, (if sorted then List.sort Int.compare xs else xs), ys)))
+    (fun (_, k, xs, ys) ->
+      let elements v =
+        let acc = ref [] in
+        Util.Id_log.iter_ascending (fun id -> acc := id :: !acc) v;
+        List.rev !acc
+      in
+      let agrees t model probes =
+        Util.Id_log.cardinal t = Int_set.cardinal model
+        && List.for_all (fun id -> Util.Id_log.mem t id = Int_set.mem id model) probes
+      in
+      let probes = xs @ ys @ List.map (fun id -> id + 1) xs @ [ min_int; max_int; 0 ] in
+      let t = Util.Id_log.create () in
+      let model = ref Int_set.empty and view = ref None in
+      List.iteri
+        (fun i id ->
+          if i = k then view := Some (Util.Id_log.freeze t, !model);
+          Util.Id_log.add t id;
+          model := Int_set.add id !model)
+        xs;
+      let view, at_k =
+        match !view with Some v -> v | None -> (Util.Id_log.freeze t, !model)
+      in
+      let live_ok = agrees t !model probes in
+      (* Keep growing the original, then thaw the view and grow the copy. *)
+      List.iter (Util.Id_log.add t) ys;
+      let copy = Util.Id_log.thaw view in
+      let copy_ok_before = agrees copy at_k probes in
+      List.iter (Util.Id_log.add copy) (ys @ List.map (fun id -> id lxor 0x5a5a) xs);
+      let copy_model =
+        List.fold_left (fun m id -> Int_set.add id m) at_k
+          (ys @ List.map (fun id -> id lxor 0x5a5a) xs)
+      in
+      let final = Util.Id_log.freeze t in
+      live_ok && copy_ok_before
+      && agrees copy copy_model probes
+      && agrees t (List.fold_left (fun m id -> Int_set.add id m) !model ys) probes
+      && Util.Id_log.frozen_cardinal view = Int_set.cardinal at_k
+      && elements view = Int_set.elements at_k
+      && elements final = Int_set.elements (List.fold_left (fun m id -> Int_set.add id m) !model ys)
+      && elements (Util.Id_log.of_list (xs @ xs)) = Int_set.elements !model
+      && elements (Util.Id_log.freeze copy) = Int_set.elements copy_model)
+
 let test_running_stats () =
   let r = Util.Stats.Running.create () in
   List.iter (Util.Stats.Running.add r) [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ];
@@ -945,6 +1015,7 @@ let suite =
     Alcotest.test_case "stats reject NaN" `Quick test_stats_nan_rejected;
     heap_sort_is_sort;
     heap_push_pop;
+    id_log_matches_set;
     Alcotest.test_case "fnv1a64 test vectors" `Quick test_fnv1a64_vectors;
     QCheck_alcotest.to_alcotest fnv1a64_matches_reference;
     Alcotest.test_case "bucket queue basics" `Quick test_bucket_basic;
